@@ -37,11 +37,10 @@ from __future__ import annotations
 import json
 import os
 import time
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.exec.batch import cold_plan_point_limit
 from repro.exec.execution import scalar_engine
 from repro.exec.frame_trace import FrameTrace
 from repro.experiments.serving import default_client_mix, serve_reports
@@ -139,10 +138,10 @@ def frame_microbenchmark(
 
     Sized like the frames the serve mix actually schedules (16x16,
     a handful of budget groups): that is the regime the batched engine
-    was profiled against.  On much larger cold frames the per-execution
-    plan assembly can eat the fused-pass win — the serving speedup comes
-    from modest frames plus cross-execution plan/stream reuse, which the
-    serve benchmark above measures directly."""
+    was profiled against.  Larger cold frames are swept by
+    :func:`cold_plan_benchmark`; the serving speedup also draws on
+    cross-execution plan/stream reuse, which the serve benchmark above
+    measures directly."""
     acc = experiment_accelerator("server")
     cam = camera_path("orbit", 1, size, size, arc=0.4).cameras()[0]
     budgets = (1 + (np.arange(size * size) % groups) * 3).astype(np.int64)
@@ -184,26 +183,22 @@ def frame_microbenchmark(
 
 
 def cold_plan_benchmark(
-    sizes: Sequence[int] = (16, 32),
-    budget_scale: int = 1,
+    frames: Sequence[Tuple[int, int]] = ((16, 1), (32, 1), (64, 2)),
     rounds: int = 2,
 ) -> Dict[str, object]:
-    """Stepped vs planned wall-clock on *cold* frames — the measurement
-    behind :data:`repro.exec.batch.COLD_PLAN_POINT_LIMIT`.
+    """Stepped vs planned wall-clock on *cold* frames.
 
     Every timed pass builds a **fresh** trace (no memoised streams, no
-    plan — the genuinely cold case a one-shot large frame hits), so the
-    numbers show where plan assembly stops paying for itself.  ``run()``
-    consults :func:`~repro.exec.batch.plan_build_worthwhile` and falls
-    back to the stepped engine above the limit; both paths price
-    bit-identically (asserted here), so the heuristic is purely a
-    wall-clock choice.  The committed full sweep put the crossover
-    between ~47k and ~94k density points; the smoke sizes here stay
-    below it so CI never pays the slow side.
+    plan — the genuinely cold case a one-shot large frame hits).  Each
+    ``(size, budget_scale)`` frame is a ``size x size`` budget map whose
+    budgets are scaled by ``budget_scale``: 2944, 11776 and 94208 density
+    points by default.  ``run()`` plans every frame, whatever its size;
+    this sweep records that planning wins at every size, and asserts that
+    both paths price bit-identically.
     """
     acc = experiment_accelerator("server")
     points_list: List[Dict[str, object]] = []
-    for size in sizes:
+    for size, budget_scale in frames:
         def make_trace() -> FrameTrace:
             cam = camera_path("orbit", 1, size, size, arc=0.4).cameras()[0]
             budgets = (
@@ -232,6 +227,7 @@ def cold_plan_benchmark(
         points_list.append(
             {
                 "size": size,
+                "budget_scale": budget_scale,
                 "points": int(state["points"]),
                 "stepped_seconds": round(stepped_s, 5),
                 "planned_seconds": round(planned_s, 5),
@@ -240,10 +236,7 @@ def cold_plan_benchmark(
                 ),
             }
         )
-    return {
-        "cold_plan_point_limit": cold_plan_point_limit(),
-        "frames": points_list,
-    }
+    return {"frames": points_list}
 
 
 def engine_bench_payload(
@@ -299,24 +292,24 @@ if pytest is not None:
         )
         assert rows == scalar_rows
 
-    def test_cold_plan_fallback_is_bit_identical(monkeypatch):
-        """Above ``REPRO_COLD_PLAN_LIMIT`` a cold `run()` falls back to
-        the stepped engine (no plan is built) and still prices
-        bit-identically to forcing the planner."""
+    def test_cold_frame_above_old_limit_plans_and_matches_stepped():
+        """A cold 94k-point frame — above the 65,536-point cut-off under
+        which `run()` used to fall back to the stepped engine — builds a
+        plan and prices bit-identically to stepping."""
         acc = experiment_accelerator("server")
-        cam = camera_path("orbit", 1, 16, 16, arc=0.4).cameras()[0]
-        budgets = (1 + (np.arange(16 * 16) % 8) * 3).astype(np.int64)
+        cam = camera_path("orbit", 1, 64, 64, arc=0.4).cameras()[0]
+        budgets = ((1 + (np.arange(64 * 64) % 8) * 3) * 2).astype(np.int64)
 
-        monkeypatch.setenv("REPRO_COLD_PLAN_LIMIT", "1")
         ex = acc.trace_execution(FrameTrace.from_budgets(cam, budgets))
-        fallback = _report_key(ex.finish())
-        assert ex._plan is None, "cold fallback must not build a plan"
-
-        monkeypatch.delenv("REPRO_COLD_PLAN_LIMIT")
-        ex = acc.trace_execution(FrameTrace.from_budgets(cam, budgets))
+        assert ex.remaining_points > 65_536
         planned = _report_key(ex.finish())
-        assert ex._plan is not None
-        assert fallback == planned
+        assert ex.plan is not None, "a cold large frame must plan"
+
+        with scalar_engine():
+            ex = acc.trace_execution(FrameTrace.from_budgets(cam, budgets))
+            stepped = _report_key(ex.finish())
+        assert ex.plan is None
+        assert planned == stepped
 
     def test_frame_micro_identity(benchmark):
         """The single-frame hot loop: batched pricing matches stepping

@@ -19,22 +19,29 @@ from typing import List, Optional
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.nerf.hashgrid import HashGridConfig, hash_coords
+from repro.nerf.hashgrid import (
+    HashGridConfig,
+    coord_axes,
+    hash_coords,
+    point_major,
+)
 
 
-def naive_concat_address(corners: np.ndarray, resolution: int) -> np.ndarray:
+def naive_concat_address(corners, resolution: int) -> np.ndarray:
     """Figure 14(a)'s strawman: concatenate x|y|z bit fields.
 
     Vertices of one voxel share their high bits, so they pile onto the same
     crossbar — this mapping exists as the conflict-prone comparison point.
+    ``corners`` is a ``(..., 3)`` array or per-axis lanes (see
+    :func:`~repro.nerf.hashgrid.coord_axes`).
     """
     bits = max(1, math.ceil(math.log2(resolution + 1)))
-    c = np.asarray(corners, dtype=np.int64)
-    return (c[..., 0] << (2 * bits)) | (c[..., 1] << bits) | c[..., 2]
+    x, y, z = coord_axes(corners)
+    return (x << (2 * bits)) | (y << bits) | z
 
 
 def bit_reorder_address(
-    corners: np.ndarray,
+    corners,
     resolution: int,
     copy_ids: Optional[np.ndarray] = None,
 ) -> np.ndarray:
@@ -42,20 +49,30 @@ def bit_reorder_address(
 
     Args:
         corners: ``(..., 3)`` integer vertex coordinates in
-            ``[0, resolution]``.
+            ``[0, resolution]``, or per-axis lanes (see
+            :func:`~repro.nerf.hashgrid.coord_axes`).
         resolution: Grid resolution of the level.
-        copy_ids: Optional ``(...)`` replica selector; copy ``k`` addresses
-            the ``k``-th replicated table instance.
+        copy_ids: Optional replica selector broadcastable against the
+            coordinates; copy ``k`` addresses the ``k``-th replicated
+            table instance.
 
     Returns:
-        ``(...)`` addresses.  The 8 vertices of any voxel always receive 8
-        distinct parity prefixes, hence distinct crossbars.
+        Addresses in the coordinates' (broadcast) shape.  The 8 vertices
+        of any voxel always receive 8 distinct parity prefixes, hence
+        distinct crossbars.
     """
-    c = np.asarray(corners, dtype=np.int64)
-    parity = (c[..., 0] & 1) | ((c[..., 1] & 1) << 1) | ((c[..., 2] & 1) << 2)
+    x, y, z = coord_axes(corners)
     half = resolution // 2 + 1
-    rest = ((c[..., 2] >> 1) * half + (c[..., 1] >> 1)) * half + (c[..., 0] >> 1)
-    addr = parity * half**3 + rest
+    slot = half**3
+    # address = parity * slot + row-major index of the halved coordinates,
+    # with parity = x&1 | (y&1) << 1 | (z&1) << 2.  Both fields are sums
+    # of per-axis terms, so each axis contributes one term and per-axis
+    # lanes only meet in the final sum.
+    addr = (
+        ((x & 1) * slot + (x >> 1))
+        + ((y & 1) * (2 * slot) + (y >> 1) * half)
+        + ((z & 1) * (4 * slot) + (z >> 1) * (half * half))
+    )
     if copy_ids is not None:
         addr = addr + np.asarray(copy_ids, dtype=np.int64) * dense_slot_size(resolution)
     return addr
@@ -130,30 +147,35 @@ class HybridAddressGenerator:
 
     def addresses(
         self,
-        corners: np.ndarray,
+        corners,
         level: int,
         request_ids: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Physical addresses of vertex ``corners`` at ``level``.
+        """Physical addresses of vertex ``corners`` at ``level``, ``(N, 8)``.
 
         Args:
-            corners: ``(N, 8, 3)`` voxel-vertex coordinates.
+            corners: ``(N, 8, 3)`` voxel-vertex coordinates, or the
+                per-axis lanes of :func:`~repro.nerf.hashgrid.corner_lanes`
+                (same addresses, without the corner array).
             request_ids: Optional ``(N,)`` sequence numbers of the issuing
                 sample points; replicated levels stripe consecutive
                 requests across copies (round-robin), which is what lets
                 concurrent points read the same entry conflict-free.
         """
+        lanes = isinstance(corners, tuple)
         mapping = self.levels[level]
         if not mapping.dense:
-            return hash_coords(corners, mapping.table_size)
-        if self.mode == "naive":
-            return naive_concat_address(corners, mapping.resolution)
-        copy_ids = None
-        if mapping.copies > 1 and request_ids is not None:
-            copy_ids = (np.asarray(request_ids, dtype=np.int64) % mapping.copies)[
-                :, None
-            ]
-        return bit_reorder_address(corners, mapping.resolution, copy_ids)
+            addr = hash_coords(corners, mapping.table_size)
+        elif self.mode == "naive":
+            addr = naive_concat_address(corners, mapping.resolution)
+        else:
+            copy_ids = None
+            if mapping.copies > 1 and request_ids is not None:
+                copy_ids = np.asarray(request_ids, dtype=np.int64) % mapping.copies
+                if not lanes:
+                    copy_ids = copy_ids[:, None]
+            addr = bit_reorder_address(corners, mapping.resolution, copy_ids)
+        return point_major(addr) if lanes else addr
 
     def striped(self, level: int) -> bool:
         """Whether the level's physical addresses depend on request ids

@@ -14,12 +14,17 @@ the whole batch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.cim.reram import RERAM, DeviceParams
 from repro.errors import ConfigurationError
+
+#: Issue groups per block of the conflict replay (see
+#: :meth:`MemXbarBank._group_stats`): large enough that the per-block
+#: NumPy calls amortise, small enough that the temporaries stay in cache.
+REPLAY_BLOCK_GROUPS = 1 << 15
 
 
 @dataclass
@@ -73,42 +78,43 @@ class MemXbarBank:
         """Crossbar id of each address."""
         return np.asarray(addresses, dtype=np.int64) // self.rows
 
-    def group_read_cycles(self, grouped_addresses: np.ndarray) -> np.ndarray:
-        """Per-group serialised read cycles, before the device latency.
+    def _group_stats(self, grouped_addresses) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-group ``(longest, reads)``: the largest number of addresses
+        landing on one crossbar, and the number of addresses (negative
+        lanes mark nothing to read; both are 0 for all-empty groups).
 
-        Args:
-            grouped_addresses: ``(G, K)`` array of issue groups (negative
-                lanes mark nothing to read).
-
-        Returns:
-            ``(G,)`` int64 array — for each group, the largest number of
-            addresses landing on one crossbar (0 for all-empty groups).
-            ``read_cycles`` is ``group_read_cycles(...).sum()`` times the
-            device read latency; exposing the per-group vector lets the
-            batched execution engine price many wavefront slices in one
-            fused pass and recover exact per-slice sums by segment.
+        Each group is priced independently, so the groups are replayed in
+        fixed-size blocks of :data:`REPLAY_BLOCK_GROUPS` — exact, and the
+        temporaries stay a few bytes per lane whatever the stream length.
+        Crossbar ids keep the addresses' integer width (``int32`` for every
+        compact address stream).  Per block, each row is sorted so equal
+        crossbar ids sit side by side; the sorted lanes are then scanned
+        column by column (transposed, so each column is contiguous),
+        counting the run each valid lane extends.  Empty lanes sort
+        first and never extend a valid lane's run.
         """
-        grouped = np.atleast_2d(np.asarray(grouped_addresses, dtype=np.int64))
-        valid = grouped >= 0
-        # Empty lanes (negative addresses) floor-divide to negative ids,
-        # which the run-start mask below already excludes — no masking
-        # pass needed.
-        xbars = grouped // self.rows
-        # Per group, the cycle cost is the largest number of addresses
-        # landing on one crossbar.  Sorting each row makes equal crossbar
-        # ids adjacent; the longest run is found lane-parallel: a lane's
-        # run starts at the last column where the sorted value changed
-        # (empty lanes never extend a run), so the running maximum of
-        # start columns turns ``col - start + 1`` into the length of the
-        # run each lane sits in.
-        order = np.sort(xbars, axis=1)
-        col = np.arange(order.shape[1], dtype=np.int64)
-        is_start = np.empty(order.shape, dtype=bool)
-        is_start[:, 0] = True
-        is_start[:, 1:] = (order[:, 1:] != order[:, :-1]) | (order[:, 1:] < 0)
-        start = np.maximum.accumulate(np.where(is_start, col, 0), axis=1)
-        longest = (col - start + 1).max(axis=1)
-        return np.where(valid.any(axis=1), longest, 0)
+        grouped = np.atleast_2d(np.asarray(grouped_addresses))
+        num_groups, lanes = grouped.shape
+        dtype = np.min_scalar_type(lanes)
+        longest = np.zeros(num_groups, dtype=dtype)
+        reads = np.zeros(num_groups, dtype=dtype)
+        if lanes == 0:
+            return longest, reads
+        for start in range(0, num_groups, REPLAY_BLOCK_GROUPS):
+            stop = min(start + REPLAY_BLOCK_GROUPS, num_groups)
+            cols = np.sort(grouped[start:stop] // self.rows, axis=1).T.copy()
+            valid = cols >= 0
+            run = np.ones(stop - start, dtype=dtype)
+            best = valid[0].astype(dtype)
+            for lane in range(1, lanes):
+                same = cols[lane] == cols[lane - 1]
+                run += 1
+                run *= same
+                run += ~same  # a new crossbar id restarts the run at 1
+                np.maximum(best, run * valid[lane], out=best)
+            longest[start:stop] = best
+            reads[start:stop] = valid.sum(axis=0, dtype=dtype)
+        return longest, reads
 
     def read_cycles(self, grouped_addresses: np.ndarray) -> ReadStats:
         """Replay reads issued in parallel groups.
@@ -122,15 +128,13 @@ class MemXbarBank:
         Returns:
             :class:`ReadStats` with conflict-serialised cycles.
         """
-        grouped = np.atleast_2d(np.asarray(grouped_addresses, dtype=np.int64))
-        valid = grouped >= 0
-        accesses = int(valid.sum())
+        longest, reads = self._group_stats(grouped_addresses)
+        accesses = int(reads.sum())
         if accesses == 0:
             return ReadStats(cycles=0, accesses=0, conflicts=0, energy_pj=0.0)
-
-        group_cycles = self.group_read_cycles(grouped)
-        cycles = int(group_cycles.sum()) * self.device.read_latency_cycles
-        ideal = int(valid.any(axis=1).sum()) * self.device.read_latency_cycles
+        latency = self.device.read_latency_cycles
+        cycles = int(longest.sum()) * latency
+        ideal = int(np.count_nonzero(reads)) * latency
         energy = accesses * self.device.read_energy_pj
         return ReadStats(
             cycles=cycles,
@@ -164,16 +168,12 @@ class MemXbarBank:
             ``S``.  All-empty segments are all-zero, matching
             :meth:`read_cycles`'s no-access early return.
         """
-        grouped = np.atleast_2d(np.asarray(grouped_addresses, dtype=np.int64))
-        bounds = np.asarray(boundaries, dtype=np.int64)
-        valid = grouped >= 0
-        any_valid = valid.any(axis=1)
-        group_cycles = self.group_read_cycles(grouped)
-        starts = bounds[:-1]
+        longest, reads = self._group_stats(grouped_addresses)
+        starts = np.asarray(boundaries, dtype=np.int64)[:-1]
         latency = self.device.read_latency_cycles
-        accesses = np.add.reduceat(valid.sum(axis=1), starts)
-        cycles = np.add.reduceat(group_cycles, starts) * latency
-        ideal = np.add.reduceat(any_valid.astype(np.int64), starts) * latency
+        accesses = np.add.reduceat(reads, starts, dtype=np.int64)
+        cycles = np.add.reduceat(longest, starts, dtype=np.int64) * latency
+        ideal = np.add.reduceat(reads > 0, starts, dtype=np.int64) * latency
         return (
             cycles,
             accesses,

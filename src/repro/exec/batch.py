@@ -7,8 +7,9 @@ re-sums color masks and issues one small ``np.unique`` / ``np.isin`` /
 bank-conflict replay per resolution level.  This module collapses that
 call-shaped loop into array shape: :func:`build_frame_plans` prices every
 wavefront slice of one or more frames with **one numpy pass per
-resolution level per frame** (and a single crossbar conflict replay for
-the whole batch) and stores the results as a :class:`FramePlan` — a
+resolution level per frame** (and a crossbar conflict replay fused
+across levels and frames, in blocks of whole slices) and stores the
+results as a :class:`FramePlan` — a
 per-step list of pre-assembled report fragments the execution cursor
 merges in plain Python, plus the per-level unique address sets the
 temporal cache records before the frame-boundary commit.
@@ -17,17 +18,20 @@ temporal cache records before the frame-boundary commit.
 ``step()`` would have produced for that slice, computed with the same
 arithmetic in the same order:
 
-* per-slice access-distance gaps come from *one* call of
-  :func:`~repro.cim.cache.previous_occurrence_gaps` over the frame's
-  concatenated stream, keyed as ``slice_id * stride + address`` — chunk
-  offsets larger than any address make cross-slice matches impossible
-  while preserving exact within-slice distances;
-* per-slice crossbar conflicts come from one
-  :meth:`~repro.cim.memxbar.MemXbarBank.read_cycles_segments` pass (the
+* addresses come from per-axis corner lanes of the frame's memoised
+  voxel bases (:func:`~repro.nerf.hashgrid.corner_lanes`) through the
+  same elementwise formulas the stepped engine applies to its
+  ``(N, 8, 3)`` corners;
+* per-slice register-cache hits come from *one* pass of shifted
+  comparisons over the frame's concatenated stream, with comparisons
+  that would reach back across a slice boundary cleared;
+* per-slice crossbar conflicts come from
+  :meth:`~repro.cim.memxbar.MemXbarBank.read_cycles_segments` passes (the
   conflict model is additive over issue groups, so segment sums equal
   per-slice replays exactly; bank outputs depend only on the crossbar
-  geometry, never on a level's entry count, so every level — and every
-  tenant sharing an accelerator design — batches into one call);
+  geometry, never on a level's entry count, so levels — and tenants
+  sharing an accelerator design — fuse into one call until a block of
+  slices is full);
 * the non-linear per-slice arithmetic — ``ceil`` address-generation and
   fusion terms, ``max`` stage combining, MLP/render engine pricing,
   buffer stalls — is *not* vectorised across slices: it is replicated
@@ -64,14 +68,15 @@ predecessor, so the prices cannot depend on how the quanta interleave.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.cim.cache import CacheStats, previous_occurrence_gaps
+from repro.cim.memxbar import REPLAY_BLOCK_GROUPS
 from repro.errors import SimulationError
+from repro.nerf.hashgrid import corner_lanes
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.arch.encoding_engine import EncodingReport
@@ -131,8 +136,9 @@ def build_frame_plans(
     together.  Each execution's plan is attached to it and also returned,
     in order.
     """
-    pricings = [_price_encoding(ex) for ex in executions]
-    _fused_bank_pass(executions, pricings)
+    replay = _ConflictReplay()
+    pricings = [_price_encoding(ex, replay) for ex in executions]
+    replay.finish()
     plans = [_assemble_plan(ex, pricing) for ex, pricing in zip(executions, pricings)]
     for ex, plan in zip(executions, plans):
         ex._set_plan(plan)
@@ -149,54 +155,6 @@ def build_frame_plans(
     return plans
 
 
-#: Density-point count above which a *cold* frame (no memoised streams,
-#: no reuse signal) is cheaper to run on the stepped engine than to plan:
-#: plan assembly is dominated by the fused whole-frame stream
-#: derivations, whose cost grows superlinearly with the concatenated
-#: stream length while their payoff (per-step numpy call overhead
-#: removed) grows only with step count.  Measured on the
-#: `benchmarks/test_engine_throughput.py` cold-frame sweep (planning won
-#: below ~47k points, lost 1.3-3.9x from ~94k up); override with
-#: ``REPRO_COLD_PLAN_LIMIT`` (``0`` disables the fallback entirely,
-#: i.e. always plan).
-COLD_PLAN_POINT_LIMIT = 65_536
-
-
-def cold_plan_point_limit() -> int:
-    """The cold-frame point limit, honouring ``REPRO_COLD_PLAN_LIMIT``."""
-    raw = os.environ.get("REPRO_COLD_PLAN_LIMIT")
-    if raw is None:
-        return COLD_PLAN_POINT_LIMIT
-    try:
-        return int(raw)
-    except ValueError:
-        raise SimulationError(
-            f"REPRO_COLD_PLAN_LIMIT must be an integer, got {raw!r}"
-        ) from None
-
-
-def plan_build_worthwhile(ex: "FrameExecution") -> bool:
-    """Whether planning ``ex`` beats stepping it — the size/reuse
-    heuristic behind the engine's cold-plan fallback.
-
-    Planning always wins on small/medium frames and on any frame whose
-    derived streams are already warm on the trace memo (a replayed frame,
-    or a serving tenant whose plan was batched earlier — replaying
-    memoised streams skips the expensive derivations, so assembly is
-    nearly free).  Only a *large cold* frame loses: there the stepped
-    engine is cheaper, and since both paths are bit-identical the choice
-    is purely a wall-clock one.
-    """
-    limit = cold_plan_point_limit()
-    if limit <= 0 or ex._total_points <= limit:
-        return True
-    config = ex.accelerator.config
-    sk = tuple(ex._encoding_engine.stream_key)
-    return ex._memo_scope.memo_contains(
-        ("fplan", config.wavefront_rays, "addr", 0) + sk
-    )
-
-
 # ----------------------------------------------------------------------
 # Pass 1: encoding streams (addresses, gaps, cache + temporal hits)
 # ----------------------------------------------------------------------
@@ -206,8 +164,6 @@ class _ExecutionPricing:
 
     #: Per-slice point counts, in step order.
     sizes: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
-    #: Per level: the frame's miss issue groups, ``(total_points, 8)``.
-    miss_blocks: List[Tuple[int, np.ndarray]] = field(default_factory=list)
     #: Per level: per-slice register-cache / temporal hit counts.
     cache_hits: Dict[int, np.ndarray] = field(default_factory=dict)
     temporal_hits: Dict[int, np.ndarray] = field(default_factory=dict)
@@ -217,12 +173,17 @@ class _ExecutionPricing:
     temporal_token: Optional[tuple] = None
 
 
-def _price_encoding(ex: "FrameExecution") -> _ExecutionPricing:
+def _price_encoding(
+    ex: "FrameExecution", replay: "_ConflictReplay"
+) -> _ExecutionPricing:
     """Stream pass: one fused call per resolution level over the whole
-    frame — logical/striped addresses, register-cache hits
-    (composite-keyed gaps), temporal hits, miss issue groups and
-    per-slice hit counts.  Frame-level arrays memoise on the trace under
-    keys disjoint from the stepped engine's per-slice keys."""
+    frame — logical/striped addresses, register-cache hits (per-slice
+    shifted comparisons), temporal hits and per-slice hit counts; each
+    level's miss issue groups go straight to the conflict ``replay``.
+    Addresses are generated from per-axis corner lanes of the frame's
+    memoised voxel bases — the ``(N, 8, 3)`` corner array is never built.
+    Frame-level arrays memoise on the trace under keys disjoint from the
+    stepped engine's per-slice keys."""
     if ex._scanout:
         raise SimulationError("scan-out executions have no wavefront plan")
     out = _ExecutionPricing()
@@ -241,30 +202,26 @@ def _price_encoding(ex: "FrameExecution") -> _ExecutionPricing:
     total = int(sizes.sum())
     if total == 0 or num_levels == 0:
         return out
-    # Segment starts of each slice in the flat 8-wide address stream
-    # (`np.add.reduceat` on bools is `or`, so counts widen to int64 first).
+    # Segment starts of each slice in the flat 8-wide address stream.
     starts = np.concatenate([[0], np.cumsum(sizes * 8)[:-1]])
     hook = ex._memo_scope.memo_hook(("fplan", config.wavefront_rays))
     request_ids: Optional[np.ndarray] = None
 
     for level in range(num_levels):
-        # The frame's corners at this level, derived lazily from the
-        # execution's hoisted compact voxel bases (skipped entirely when
-        # the address streams below replay from the trace memo).
-        corner_cache: List[np.ndarray] = []
+        # The frame's corner lanes at this level, derived lazily from the
+        # execution's compact voxel bases (skipped entirely when the
+        # address streams below replay from the trace memo).
+        lane_cache: List[tuple] = []
 
-        def corners() -> np.ndarray:
-            if not corner_cache:
-                corner_cache.append(
-                    ex._corner_bases[level].astype(np.int64)[:, None, :]
-                    + ex._corner_offsets
-                )
-            return corner_cache[0]
+        def lanes() -> tuple:
+            if not lane_cache:
+                lane_cache.append(corner_lanes(ex._corner_bases[level]))
+            return lane_cache[0]
 
         compact = engine.compact_dtype(level)
         logical = hook(
             ("addr", level) + sk,
-            lambda: gen.addresses(corners(), level, None).astype(compact),
+            lambda: gen.addresses(lanes(), level, None).astype(compact),
         )
         stream = logical.reshape(-1)
         window = engine.caches[level].window
@@ -276,7 +233,7 @@ def _price_encoding(ex: "FrameExecution") -> _ExecutionPricing:
             # need, and yield the hit mask directly.
             hits = hook(
                 ("whits", level, window) + sk,
-                lambda: _window_hits(stream, sizes, window),
+                lambda: _window_hits(stream, starts, window),
             )
         elif window < uint16_max:
             gaps = hook(
@@ -296,7 +253,7 @@ def _price_encoding(ex: "FrameExecution") -> _ExecutionPricing:
             unique_stream = hook(("uniq", level) + sk, lambda: np.unique(stream))
             out.records.append((ex._steps_total, level, unique_stream))
             out.temporal_hits[level] = np.add.reduceat(
-                t_hits.astype(np.int64), starts
+                t_hits, starts, dtype=np.int64
             )
         else:
             out.temporal_hits[level] = np.zeros(len(sizes), dtype=np.int64)
@@ -308,15 +265,15 @@ def _price_encoding(ex: "FrameExecution") -> _ExecutionPricing:
                 request_ids = np.arange(total, dtype=np.int64)
             physical = hook(
                 ("addr_striped", level) + sk,
-                lambda: gen.addresses(corners(), level, request_ids).astype(
+                lambda: gen.addresses(lanes(), level, request_ids).astype(
                     compact
                 ),
             )
         else:
             physical = logical
         misses = np.where(served, -1, physical.reshape(-1)).reshape(total, 8)
-        out.miss_blocks.append((level, misses))
-        hit_sums = np.add.reduceat(hits.astype(np.int64), starts)
+        replay.add(ex, out, level, misses)
+        hit_sums = np.add.reduceat(hits, starts, dtype=np.int64)
         out.cache_hits[level] = hit_sums
         # Mirror the stepped replay's diagnostic counters (unobservable in
         # any SimReport, but kept equivalent in aggregate).
@@ -332,32 +289,30 @@ def _price_encoding(ex: "FrameExecution") -> _ExecutionPricing:
 _SHIFT_WINDOW_MAX = 64
 
 
-def _composite_keys(stream: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Slice-disjoint keys: each slice's addresses offset into their own
-    range, so equal keys mean "same address, same slice"."""
-    slice_ids = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes * 8)
-    stride = int(stream.max()) + 1
-    return slice_ids * stride + stream.astype(np.int64)
-
-
 def _window_hits(
-    stream: np.ndarray, sizes: np.ndarray, window: int
+    stream: np.ndarray, starts: np.ndarray, window: int
 ) -> np.ndarray:
     """Register-cache hit mask of every slice in one fused pass.
 
     An access hits iff its address recurs within the previous ``window``
-    accesses of its own slice — i.e. iff any of the ``window`` shifted
-    composite-key comparisons matches.  Identical to
-    ``previous_occurrence_gaps(...) <= window`` per slice (a previous
-    occurrence at distance ``d0 <= window`` matches shift ``d0``; a match
-    at shift ``d`` means the nearest occurrence is at most ``d`` away).
+    accesses of its own slice (slice ``i`` starts at ``starts[i]``).  Shift
+    ``d`` compares every access with the one ``d`` earlier; the first
+    ``d`` accesses of a slice have no such predecessor inside it, so
+    their comparisons are cleared.  (Clearing ``start + j`` for every
+    ``j < d`` also reaches into the next slice when a slice is shorter
+    than ``d``, but those positions sit fewer than ``d`` accesses into
+    their own slice too.)  Identical to per-slice
+    ``previous_occurrence_gaps(...) <= window``: a previous occurrence at
+    distance ``d0 <= window`` matches shift ``d0``; a match at shift ``d``
+    means the nearest occurrence is at most ``d`` away.
     """
-    if stream.size == 0:
-        return np.zeros(0, dtype=bool)
-    keys = _composite_keys(stream, sizes)
-    hits = np.zeros(keys.size, dtype=bool)
-    for d in range(1, min(window, keys.size - 1) + 1):
-        np.logical_or(hits[d:], keys[d:] == keys[:-d], out=hits[d:])
+    n = stream.size
+    hits = np.zeros(n, dtype=bool)
+    for d in range(1, min(window, n - 1) + 1):
+        match = stream[d:] == stream[:-d]
+        heads = (starts[:, None] + np.arange(d)).ravel()
+        match[heads[(heads >= d) & (heads < n)] - d] = False
+        hits[d:] |= match
     return hits
 
 
@@ -373,48 +328,69 @@ def _composite_gaps(stream: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """
     if stream.size == 0:
         return previous_occurrence_gaps(stream)
-    return previous_occurrence_gaps(_composite_keys(stream, sizes))
+    slice_ids = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes * 8)
+    stride = int(stream.max()) + 1
+    return previous_occurrence_gaps(slice_ids * stride + stream.astype(np.int64))
 
 
 # ----------------------------------------------------------------------
-# Pass 2: fused crossbar conflict replay
+# Pass 2: fused, blocked crossbar conflict replay
 # ----------------------------------------------------------------------
-def _fused_bank_pass(
-    executions: Sequence["FrameExecution"],
-    pricings: Sequence[_ExecutionPricing],
-) -> None:
-    """One segmented conflict replay per bank geometry, across every
-    execution and level.  Bank outputs depend only on the crossbar row
-    count and memory device (never on a level's entry count), so all
-    levels — and all tenants sharing an accelerator config — batch into
-    a single :meth:`~repro.cim.memxbar.MemXbarBank.read_cycles_segments`
-    call."""
-    geometries: dict = {}
-    for ei, (ex, pricing) in enumerate(zip(executions, pricings)):
-        if not pricing.miss_blocks:
-            continue
+class _ConflictReplay:
+    """Segmented crossbar conflict replay, fused across levels and
+    executions and flushed in blocks of whole slices.
+
+    Bank outputs depend only on the crossbar row count and memory device
+    (never on a level's entry count), so every level — and every tenant
+    sharing an accelerator design — can share one
+    :meth:`~repro.cim.memxbar.MemXbarBank.read_cycles_segments` call.
+    Each level's miss issue groups queue per bank geometry as soon as the
+    level is priced, and a queue is replayed once it holds
+    :data:`~repro.cim.memxbar.REPLAY_BLOCK_GROUPS` groups: many small
+    frames still fuse into one call, while a large frame never holds more
+    than one level's misses plus one block.  The conflict model is
+    additive over issue groups, so where a flush falls changes nothing.
+    """
+
+    def __init__(self) -> None:
+        #: geometry -> (bank, queued ``(pricing, level, misses)``)
+        self._queues: Dict[tuple, Tuple[object, list]] = {}
+
+    def add(
+        self,
+        ex: "FrameExecution",
+        pricing: _ExecutionPricing,
+        level: int,
+        misses: np.ndarray,
+    ) -> None:
         config = ex.accelerator.config
         key = (config.crossbar.rows, id(config.memory_device))
-        bank = ex._encoding_engine.banks[0]
-        entry = geometries.setdefault(key, {"bank": bank, "blocks": []})
-        for level, misses in pricing.miss_blocks:
-            entry["blocks"].append((ei, level, pricing.sizes, misses))
-    for entry in geometries.values():
-        blocks = entry["blocks"]
-        misses_all = np.concatenate([b[3] for b in blocks], axis=0)
-        sizes_all = np.concatenate([b[2] for b in blocks])
-        bounds = np.concatenate([[0], np.cumsum(sizes_all)])
-        cycles, accesses, conflicts, energy = entry["bank"].read_cycles_segments(
-            misses_all, bounds
+        _, queued = self._queues.setdefault(
+            key, (ex._encoding_engine.banks[0], [])
         )
+        queued.append((pricing, level, misses))
+        if sum(len(m) for _, _, m in queued) >= REPLAY_BLOCK_GROUPS:
+            self._flush(key)
+
+    def finish(self) -> None:
+        for key in list(self._queues):
+            self._flush(key)
+
+    def _flush(self, key: tuple) -> None:
+        bank, queued = self._queues.pop(key)
+        sizes = np.concatenate([pricing.sizes for pricing, _, _ in queued])
+        misses = (
+            queued[0][2]
+            if len(queued) == 1
+            else np.concatenate([m for _, _, m in queued])
+        )
+        bounds = np.concatenate([[0], np.cumsum(sizes)])
+        stats = bank.read_cycles_segments(misses, bounds)
         offset = 0
-        for ei, level, sizes, _ in blocks:
-            n = len(sizes)
-            pricings[ei].read_segments[level] = (
-                cycles[offset : offset + n],
-                accesses[offset : offset + n],
-                conflicts[offset : offset + n],
-                energy[offset : offset + n],
+        for pricing, level, _ in queued:
+            n = len(pricing.sizes)
+            pricing.read_segments[level] = tuple(
+                a[offset : offset + n] for a in stats
             )
             offset += n
 

@@ -138,13 +138,13 @@ def _build_frame_setup(
         )
         for sl in slices
     ]
+    # Stored as compact as the trace's own voxel-base cache (a base lies
+    # in [0, resolution)), whether or not that cache kept every wavefront.
     corner_bases = [
-        (
-            np.concatenate(
-                [trace.voxel_base(w, resolution) for w in wavefront_order]
-            )
-            if wavefront_order
-            else np.empty((0, 3), dtype=np.int64)
+        np.concatenate(
+            [trace.voxel_base(w, resolution) for w in wavefront_order]
+            or [np.empty((0, 3), dtype=np.int64)],
+            dtype=np.int16 if resolution < 2**15 else np.int32,
         )
         for resolution in resolutions
     ]
@@ -214,7 +214,6 @@ class FrameExecution:
         self._finalised = False
         self._plan: Optional["FramePlan"] = None
         self._plan_record_idx = 0
-        self._plan_choice: Optional[bool] = None
         # Telemetry is observer-only: a disabled recorder is normalised to
         # None here so every hot-path hook is one identity check, and the
         # emitted fields are values the engine computed anyway — the
@@ -344,33 +343,22 @@ class FrameExecution:
         serving event loop calls ``run(quantum)`` and may hand the
         accelerator to another client before calling it again.
 
-        Routed through :meth:`run_vectorized` (bit-identical, much
-        faster) unless a wavefront log is attached, this is a scan-out
-        frame, :func:`scalar_engine` disabled batching, or the frame is
-        large *and* cold (see
-        :func:`~repro.exec.batch.plan_build_worthwhile` — plan assembly
-        would cost more than stepping, and both paths price
-        identically)."""
+        Routed through :meth:`run_vectorized` — every frame builds a
+        plan on first use, whatever its size — unless a wavefront log is
+        attached, this is a scan-out frame or :func:`scalar_engine`
+        disabled batching.  Both paths price bit-identically; the plan
+        path is the faster one at every measured frame size (re-measured
+        in ``BENCH_engine.json``'s ``cold_plan`` sweep) and its memory is
+        bounded: addresses come from per-axis corner lanes and the
+        crossbar conflict replay runs in fixed-size blocks of whole
+        slices (see :mod:`repro.exec.batch`)."""
         if (
             self._wavefront_log is None
             and not self._scanout
             and batched_enabled()
-            and self._plan_worthwhile()
         ):
             return self.run_vectorized(max_steps)
         return self._run_stepwise(max_steps)
-
-    def _plan_worthwhile(self) -> bool:
-        """Size/reuse heuristic for the batched path, decided once per
-        execution (the answer cannot improve mid-frame, and flip-flopping
-        between engines would waste a partially-consumed plan)."""
-        if self._plan is not None:
-            return True
-        if self._plan_choice is None:
-            from repro.exec.batch import plan_build_worthwhile
-
-            self._plan_choice = plan_build_worthwhile(self)
-        return self._plan_choice
 
     def _run_stepwise(self, max_steps: Optional[int] = None) -> int:
         """The reference path: a Python loop over :meth:`step`."""

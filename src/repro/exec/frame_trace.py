@@ -593,14 +593,6 @@ class FrameTrace:
         slice), handed to consumers via ``EncodingBatch.memo``."""
         return lambda key, compute: self.memo(prefix + key, compute)
 
-    def memo_contains(self, key: Tuple) -> bool:
-        """Whether ``key`` has been requested before (a warmth probe — the
-        batched engine's cold-plan heuristic asks before committing to an
-        expensive stream derivation).  Counts the see-once set too: a
-        stream requested even once predicts the trace is being replayed,
-        which is exactly when plan assembly amortises."""
-        return key in self._memo_cache or key in self._memo_seen
-
     # ------------------------------------------------------------------
     # Profiler access
     # ------------------------------------------------------------------

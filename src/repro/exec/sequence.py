@@ -251,11 +251,6 @@ class SequenceTrace:
         frame index), handed to the simulator's encoding batches."""
         return lambda key, compute: self.memo(prefix + key, compute)
 
-    def memo_contains(self, key: Tuple) -> bool:
-        """Whether ``key`` is already memoised (the batched engine's
-        cold-plan heuristic probes stream warmth before building)."""
-        return key in self._memo
-
     # ------------------------------------------------------------------
     # Temporal diff pass
     # ------------------------------------------------------------------

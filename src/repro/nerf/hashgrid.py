@@ -91,28 +91,81 @@ class HashGridConfig:
         return (res + 1) ** 3 <= self.table_size
 
 
-def hash_coords(coords: np.ndarray, table_size: int) -> np.ndarray:
+def corner_lanes(
+    base: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-axis vertex lanes of voxels with integer base coordinates.
+
+    A voxel's eight vertices share their per-axis coordinates: each axis
+    contributes only ``base`` and ``base + 1``.  The lanes are those two
+    values per axis, shaped ``(1, 1, 2, N)`` (x), ``(1, 2, 1, N)`` (y) and
+    ``(2, 1, 1, N)`` (z), so any elementwise formula over ``(x, y, z)``
+    broadcasts to ``(2, 2, 2, N)`` — the corner-major ``(8, N)`` in
+    :data:`CORNER_OFFSETS` order (x minor, z major) after a reshape —
+    without ever materialising the ``(N, 8, 3)`` corner array.  Points sit
+    on the last axis so NumPy's inner loops run over ``N``, not over the
+    2-wide lanes; :func:`point_major` turns a result into ``(N, 8)``.
+
+    Args:
+        base: ``(N, 3)`` integer voxel-base coordinates.
+    """
+    b = np.asarray(base, dtype=np.int64).T
+    n = b.shape[1]
+    lanes = b[:, None, :] + np.arange(2)[:, None]  # (3, 2, N)
+    return (
+        lanes[0].reshape(1, 1, 2, n),
+        lanes[1].reshape(1, 2, 1, n),
+        lanes[2].reshape(2, 1, 1, n),
+    )
+
+
+def point_major(lane_values: np.ndarray) -> np.ndarray:
+    """The ``(N, 8)`` point-major corner array of a corner-major lane
+    result (``(2, 2, 2, N)`` or ``(8, N)``)."""
+    return np.ascontiguousarray(np.reshape(lane_values, (8, -1)).T)
+
+
+def coord_axes(coords, dtype=np.int64) -> Tuple[np.ndarray, ...]:
+    """``(x, y, z)`` of vertex coordinates given as a ``(..., 3)`` array or
+    as a tuple of three broadcastable per-axis arrays (such as
+    :func:`corner_lanes`), each converted to ``dtype``."""
+    if isinstance(coords, tuple):
+        return tuple(np.asarray(a, dtype=dtype) for a in coords)
+    c = np.asarray(coords, dtype=dtype)
+    return c[..., 0], c[..., 1], c[..., 2]
+
+
+def hash_coords(coords, table_size: int) -> np.ndarray:
     """Spatial hash of integer vertex coordinates, Eq. (2).
 
     Args:
-        coords: ``(..., 3)`` integer vertex coordinates.
+        coords: ``(..., 3)`` integer vertex coordinates, or an ``(x, y, z)``
+            tuple of broadcastable per-axis arrays (see :func:`coord_axes`).
         table_size: Modulus ``T`` (need not be a power of two).
 
     Returns:
-        ``(...)`` indices in ``[0, table_size)``.
+        Indices in ``[0, table_size)``, shaped like the coordinates
+        without their axis (the broadcast shape for a tuple).
     """
-    coords = np.asarray(coords, dtype=np.uint64)
-    result = coords[..., 0] * np.uint64(HASH_PRIMES[0])
-    result ^= coords[..., 1] * np.uint64(HASH_PRIMES[1])
-    result ^= coords[..., 2] * np.uint64(HASH_PRIMES[2])
-    return (result % np.uint64(table_size)).astype(np.int64)
+    x, y, z = coord_axes(coords, np.uint64)
+    result = (
+        (x * np.uint64(HASH_PRIMES[0]))
+        ^ (y * np.uint64(HASH_PRIMES[1]))
+        ^ (z * np.uint64(HASH_PRIMES[2]))
+    )
+    if table_size & (table_size - 1) == 0:  # power of two: mask, not divide
+        result &= np.uint64(table_size - 1)
+    else:
+        result %= np.uint64(table_size)
+    return result.view(np.int64)  # every index is below table_size
 
 
-def dense_coords_index(coords: np.ndarray, resolution: int) -> np.ndarray:
-    """Row-major dense index of vertex coordinates on a ``(res+1)^3`` grid."""
-    coords = np.asarray(coords, dtype=np.int64)
+def dense_coords_index(coords, resolution: int) -> np.ndarray:
+    """Row-major dense index of vertex coordinates on a ``(res+1)^3`` grid
+    (coordinates as in :func:`hash_coords`)."""
+    x, y, z = coord_axes(coords)
     stride = resolution + 1
-    return (coords[..., 2] * stride + coords[..., 1]) * stride + coords[..., 0]
+    return (z * stride + y) * stride + x
 
 
 class HashGridEncoder:
@@ -136,6 +189,31 @@ class HashGridEncoder:
     # ------------------------------------------------------------------
     # Addressing primitives (shared with the architecture simulator)
     # ------------------------------------------------------------------
+    def _locate(
+        self, points: np.ndarray, level: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(base, weights)``: each point's ``(N, 3)`` voxel base at
+        ``level`` and its corner-major ``(8, N)`` trilinear weights.
+
+        Weights are built from per-axis ``(1 - frac, frac)`` lanes: corner
+        ``(ox, oy, oz)`` gets ``(wx[ox] * wy[oy]) * wz[oz]``, the product
+        order of a left-to-right reduction over the axes.
+        """
+        res = int(self._resolutions[level])
+        # Axis-major (3, N): every pass below runs over contiguous points.
+        scaled = np.multiply(np.asarray(points).T, res, order="C")
+        base = np.floor(scaled).astype(np.int64)
+        np.clip(base, 0, res - 1, out=base)
+        frac = scaled - base
+        n = frac.shape[1]
+        w = np.empty((3, 2, n))
+        w[:, 0] = 1.0 - frac
+        w[:, 1] = frac
+        weights = (
+            w[0].reshape(1, 1, 2, n) * w[1].reshape(1, 2, 1, n)
+        ) * w[2].reshape(2, 1, 1, n)
+        return base.T, weights.reshape(8, n)
+
     def voxel_vertices(
         self, points: np.ndarray, level: int
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -148,39 +226,57 @@ class HashGridEncoder:
             ``(corners, weights)``: the ``(N, 8, 3)`` integer coordinates of
             each point's voxel vertices and the ``(N, 8)`` trilinear weights.
         """
-        res = int(self._resolutions[level])
-        scaled = np.asarray(points) * res
-        base = np.floor(scaled).astype(np.int64)
-        base = np.clip(base, 0, res - 1)
-        frac = scaled - base
-        corners = base[:, None, :] + CORNER_OFFSETS[None, :, :]
-        # Weight of corner (ox, oy, oz) is prod over axes of
-        # frac if offset==1 else (1-frac).
-        offs = CORNER_OFFSETS[None, :, :]
-        w = np.where(offs == 1, frac[:, None, :], 1.0 - frac[:, None, :])
-        weights = np.prod(w, axis=-1)
-        return corners, weights
+        base, weights = self._locate(points, level)
+        return base[:, None, :] + CORNER_OFFSETS[None, :, :], point_major(weights)
 
-    def table_indices(self, corners: np.ndarray, level: int) -> np.ndarray:
+    def table_indices(self, corners, level: int) -> np.ndarray:
         """Embedding-table indices of vertex coordinates at ``level``.
 
         Dense (low-resolution) levels index the grid directly; compressed
-        (high-resolution) levels hash with Eq. (2).
+        (high-resolution) levels hash with Eq. (2).  ``corners`` is a
+        ``(..., 3)`` array or per-axis lanes (see :func:`coord_axes`).
         """
         res = int(self._resolutions[level])
         if self.config.level_is_dense(level):
             return dense_coords_index(corners, res)
         return hash_coords(corners, self.config.table_size)
 
+    def _lookup(
+        self, points: np.ndarray, level: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(indices, weights)``, both corner-major ``(8, N)``: the table
+        entries of each point's voxel vertices at ``level`` and their
+        trilinear weights, computed from per-axis corner lanes."""
+        base, weights = self._locate(points, level)
+        idx = self.table_indices(corner_lanes(base), level)
+        return idx.reshape(weights.shape), weights
+
+    def _blend(
+        self, level: int, idx: np.ndarray, weights: np.ndarray
+    ) -> np.ndarray:
+        """Trilinear blend of one level's fetched features, ``(N, F)``.
+
+        Per feature, the eight weighted corner values are summed in
+        corner order — the left-to-right accumulation of
+        ``np.sum(..., axis=1)`` over the point-major ``(N, 8, F)``
+        products — with every pass over contiguous ``(N,)`` rows.
+        """
+        table = self.tables[level]
+        out = np.empty((idx.shape[1], table.shape[1]))
+        for f in range(table.shape[1]):
+            weighted = weights * np.take(table[:, f], idx)
+            acc = weighted[0] + weighted[1]
+            for corner in range(2, 8):
+                acc += weighted[corner]
+            out[:, f] = acc
+        return out
+
     # ------------------------------------------------------------------
     # Encoding
     # ------------------------------------------------------------------
     def encode_level(self, points: np.ndarray, level: int) -> np.ndarray:
         """Trilinearly interpolated features for one level, ``(N, F)``."""
-        corners, weights = self.voxel_vertices(points, level)
-        idx = self.table_indices(corners, level)
-        feats = self.tables[level][idx]  # (N, 8, F)
-        return np.sum(weights[..., None] * feats, axis=1)
+        return self._blend(level, *self._lookup(points, level))
 
     def encode(self, points: np.ndarray) -> np.ndarray:
         """Concatenated multi-resolution encoding, ``(N, L*F)``."""
@@ -203,11 +299,9 @@ class HashGridEncoder:
         outs = []
         index_lists = []
         for level in range(self.config.num_levels):
-            corners, weights = self.voxel_vertices(points, level)
-            idx = self.table_indices(corners, level)
-            feats = self.tables[level][idx]
-            outs.append(np.sum(weights[..., None] * feats, axis=1))
-            index_lists.append(idx)
+            idx, weights = self._lookup(points, level)
+            outs.append(self._blend(level, idx, weights))
+            index_lists.append(point_major(idx))
         return np.concatenate(outs, axis=-1), index_lists
 
     def encode_backward(
@@ -224,8 +318,8 @@ class HashGridEncoder:
         points = np.atleast_2d(points)
         fdim = self.config.feature_dim
         for level in range(self.config.num_levels):
-            corners, weights = self.voxel_vertices(points, level)
-            idx = self.table_indices(corners, level)
+            idx, weights = self._lookup(points, level)
+            idx, weights = point_major(idx), point_major(weights)
             g = grad_output[:, level * fdim : (level + 1) * fdim]
             contrib = weights[..., None] * g[:, None, :]  # (N, 8, F)
             np.add.at(

@@ -59,6 +59,9 @@ def pytest_addoption(parser):
 
 
 def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: paper-scale (16-level, 2**19-entry grid) tests"
+    )
     # Register hypothesis profiles when the library is available; the
     # property harness skips itself otherwise.  ``deadline=None``: a
     # single serving example can legitimately take seconds.

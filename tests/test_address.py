@@ -12,7 +12,12 @@ from repro.cim.address import (
     naive_concat_address,
 )
 from repro.errors import ConfigurationError
-from repro.nerf.hashgrid import CORNER_OFFSETS, HashGridConfig
+from repro.nerf.hashgrid import (
+    CORNER_OFFSETS,
+    HASH_PRIMES,
+    HashGridConfig,
+    corner_lanes,
+)
 
 
 def _voxel_corners(base):
@@ -153,3 +158,77 @@ class TestLevelMapping:
         m = LevelMapping(level=5, resolution=64, table_size=2**11,
                          dense=False, copies=1)
         assert m.address_space == 2**11
+
+
+# ----------------------------------------------------------------------
+# Lane-form addresses == the (N, 8, 3) corner reference, bit for bit
+# ----------------------------------------------------------------------
+def _reference_addresses(gen, corners, level, request_ids):
+    """The corner-array formulation of every mapping, evaluated on the
+    full ``(N, 8, 3)`` coordinates."""
+    mapping = gen.levels[level]
+    c = corners.astype(np.int64)
+    if not mapping.dense:
+        u = c.astype(np.uint64)
+        h = (
+            u[..., 0] * np.uint64(HASH_PRIMES[0])
+            ^ u[..., 1] * np.uint64(HASH_PRIMES[1])
+            ^ u[..., 2] * np.uint64(HASH_PRIMES[2])
+        )
+        return (h % np.uint64(mapping.table_size)).astype(np.int64)
+    res = mapping.resolution
+    if gen.mode == "naive":
+        bits = max(1, int(np.ceil(np.log2(res + 1))))
+        return (c[..., 0] << (2 * bits)) | (c[..., 1] << bits) | c[..., 2]
+    parity = (c[..., 0] & 1) | ((c[..., 1] & 1) << 1) | ((c[..., 2] & 1) << 2)
+    half = res // 2 + 1
+    rest = ((c[..., 2] >> 1) * half + (c[..., 1] >> 1)) * half + (c[..., 0] >> 1)
+    addr = parity * half**3 + rest
+    if mapping.copies > 1 and request_ids is not None:
+        addr = addr + (request_ids % mapping.copies)[:, None] * dense_slot_size(res)
+    return addr
+
+
+_ADDRESS_GRIDS = [
+    GRID,
+    HashGridConfig(num_levels=6, table_size=3001, base_resolution=4,
+                   max_resolution=64),
+]
+
+
+class TestLaneFormAddresses:
+    @given(
+        st.sampled_from(range(len(_ADDRESS_GRIDS))),
+        st.sampled_from(HybridAddressGenerator.MODES),
+        st.booleans(),
+        st.lists(
+            st.tuples(
+                st.floats(-0.01, 1.01),
+                st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.001, -0.001]),
+                st.floats(0.0, 1.0),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        st.integers(0, 1000),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_lanes_match_corner_reference(
+        self, grid, mode, with_ids, rows, first_id
+    ):
+        """Every level and mapping mode, with and without request ids;
+        points at exactly 0/1, on grid planes and slightly outside the
+        cube."""
+        cfg = _ADDRESS_GRIDS[grid]
+        gen = HybridAddressGenerator(cfg, mode=mode)
+        points = np.array(rows, dtype=np.float64)
+        ids = first_id + np.arange(len(points)) if with_ids else None
+        for level, res in enumerate(cfg.level_resolutions):
+            res = int(res)
+            base = np.clip(np.floor(points * res).astype(np.int64), 0, res - 1)
+            corners = base[:, None, :] + CORNER_OFFSETS[None, :, :]
+            want = _reference_addresses(gen, corners, level, ids)
+            lanes = gen.addresses(corner_lanes(base.astype(np.int16)), level, ids)
+            assert lanes.shape == want.shape
+            assert np.array_equal(lanes, want)
+            assert np.array_equal(gen.addresses(corners, level, ids), want)

@@ -249,3 +249,34 @@ class TestServeBitIdentity:
             rows_scalar = run_rows()
         rows_batched = run_rows()
         assert rows_scalar == rows_batched
+
+
+class TestWindowHits:
+    @given(
+        st.lists(st.integers(1, 12), min_size=1, max_size=8),
+        st.integers(0, 9),
+        st.integers(1, 12),
+        st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_fused_mask_equals_per_slice_gaps(
+        self, slice_points, alphabet, window, seed
+    ):
+        """The fused shifted-comparison hit mask equals the stepped
+        engine's per-slice ``previous_occurrence_gaps <= window`` —
+        including slices shorter than the window."""
+        from repro.cim.cache import previous_occurrence_gaps
+        from repro.exec.batch import _window_hits
+
+        sizes = np.array(slice_points, dtype=np.int64)
+        rng = np.random.default_rng(seed)
+        stream = rng.integers(0, alphabet + 1, size=int(sizes.sum()) * 8)
+        stream = stream.astype(np.int32)
+        starts = np.concatenate([[0], np.cumsum(sizes * 8)[:-1]])
+        want = np.concatenate(
+            [
+                previous_occurrence_gaps(chunk) <= window
+                for chunk in np.split(stream, starts[1:])
+            ]
+        )
+        assert np.array_equal(_window_hits(stream, starts, window), want)

@@ -255,3 +255,41 @@ class TestGoldenResumability:
             "cycle counts"
         )
         assert hits == golden["temporal_hits"]
+
+
+class TestBoundedPlanMemory:
+    """Every frame plans (there is no size cut-off), so planning must stay
+    bounded in memory on large cold frames: addresses come from per-axis
+    corner lanes and the crossbar conflict replay runs in fixed-size
+    blocks.  Before both, planning this frame peaked at ~674 MB."""
+
+    def test_cold_212k_point_frame_plans_under_128_mb(self):
+        import dataclasses
+        import tracemalloc
+
+        from repro.exec.execution import scalar_engine
+        from repro.experiments.workbench import experiment_accelerator
+
+        acc = experiment_accelerator("server")
+        camera = camera_path("orbit", 1, 96, 96, arc=0.4).cameras()[0]
+        budgets = ((1 + (np.arange(96 * 96) % 8) * 3) * 2).astype(np.int64)
+
+        def cold_trace() -> FrameTrace:
+            return FrameTrace.from_budgets(camera, budgets)
+
+        trace = cold_trace()
+        assert trace.density_points == 211968
+        tracemalloc.start()
+        try:
+            ex = acc.trace_execution(trace)
+            ex.run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ex.plan is not None, "run() must plan a cold large frame"
+        assert peak <= 128 * 2**20, f"planning peaked at {peak / 2**20:.0f} MB"
+        planned = ex.finish()
+
+        with scalar_engine():
+            stepped = acc.simulate_trace(cold_trace())
+        assert dataclasses.asdict(planned) == dataclasses.asdict(stepped)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import ConfigurationError
 from repro.nerf.hashgrid import (
     CORNER_OFFSETS,
+    HASH_PRIMES,
     HashGridConfig,
     HashGridEncoder,
     dense_coords_index,
@@ -197,3 +198,111 @@ class TestEncoding:
             HashGridEncoder(cfg, seed=9).encode(pts),
             HashGridEncoder(cfg, seed=9).encode(pts),
         )
+
+
+# ----------------------------------------------------------------------
+# Lane-form lookup == the (N, 8, 3) corner reference, bit for bit
+# ----------------------------------------------------------------------
+def _reference_lookup(enc, points, level):
+    """The corner-array formulation: ``(N, 8, 3)`` corners, ``np.prod``
+    weights, Eq. (2) / row-major indices, ``np.sum`` blend."""
+    cfg = enc.config
+    res = int(cfg.level_resolutions[level])
+    scaled = points * res
+    base = np.clip(np.floor(scaled).astype(np.int64), 0, res - 1)
+    frac = scaled - base
+    corners = base[:, None, :] + CORNER_OFFSETS[None, :, :]
+    offs = CORNER_OFFSETS[None, :, :]
+    weights = np.prod(
+        np.where(offs == 1, frac[:, None, :], 1.0 - frac[:, None, :]), axis=-1
+    )
+    if cfg.level_is_dense(level):
+        stride = res + 1
+        idx = (corners[..., 2] * stride + corners[..., 1]) * stride + corners[..., 0]
+    else:
+        c = corners.astype(np.uint64)
+        h = (
+            c[..., 0] * np.uint64(HASH_PRIMES[0])
+            ^ c[..., 1] * np.uint64(HASH_PRIMES[1])
+            ^ c[..., 2] * np.uint64(HASH_PRIMES[2])
+        )
+        idx = (h % np.uint64(cfg.table_size)).astype(np.int64)
+    feats = enc.tables[level][idx]
+    return idx, weights, np.sum(weights[..., None] * feats, axis=1)
+
+
+#: 6 levels at resolutions 4..64: dense levels first, hashed after; the
+#: non-power-of-two table exercises the modulo (not the mask) path.
+_LANE_GRIDS = [
+    HashGridConfig(num_levels=6, table_size=2**11, base_resolution=4,
+                   max_resolution=64),
+    HashGridConfig(num_levels=6, table_size=3001, base_resolution=4,
+                   max_resolution=64),
+]
+_PLANE_RES = sorted({int(r) for g in _LANE_GRIDS for r in g.level_resolutions})
+
+
+def _coordinate():
+    """One coordinate: interior, exactly 0/1, on a grid plane of some
+    level, or slightly outside [0, 1]."""
+    plane = st.tuples(
+        st.sampled_from(_PLANE_RES), st.integers(0, max(_PLANE_RES))
+    ).map(lambda t: min(t[1], t[0]) / t[0])
+    return st.one_of(
+        st.floats(0.0, 1.0),
+        st.sampled_from([0.0, 1.0, -1e-12, 1.0 + 1e-12, -1e-3, 1.0 + 1e-3]),
+        plane,
+        st.floats(-0.01, 1.01),
+    )
+
+
+_POINTS = st.lists(
+    st.tuples(_coordinate(), _coordinate(), _coordinate()),
+    min_size=1,
+    max_size=40,
+).map(lambda rows: np.array(rows, dtype=np.float64))
+
+
+class TestLaneFormEquivalence:
+    @given(st.sampled_from(range(len(_LANE_GRIDS))), _POINTS)
+    @settings(max_examples=60, deadline=None)
+    def test_encode_and_indices_match_corner_reference(self, grid, points):
+        enc = HashGridEncoder(_LANE_GRIDS[grid], seed=4)
+        expected = [
+            _reference_lookup(enc, points, level)
+            for level in range(enc.config.num_levels)
+        ]
+        features, indices = enc.encode_with_cache(points)
+        want = np.concatenate([e[2] for e in expected], axis=-1)
+        assert np.array_equal(features, want)
+        assert np.array_equal(enc.encode(points), want)
+        for level, (idx, weights, _) in enumerate(expected):
+            assert np.array_equal(indices[level], idx)
+            corners, got_weights = enc.voxel_vertices(points, level)
+            assert np.array_equal(got_weights, weights)
+            assert np.array_equal(
+                enc.table_indices(corners, level), idx
+            )
+
+    @given(st.sampled_from(range(len(_LANE_GRIDS))), _POINTS,
+           st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_encode_backward_matches_corner_reference(self, grid, points, seed):
+        cfg = _LANE_GRIDS[grid]
+        enc = HashGridEncoder(cfg, seed=4)
+        ref_tables = [t.copy() for t in enc.tables]
+        grad = np.random.default_rng(seed).normal(
+            size=(len(points), cfg.output_dim)
+        )
+        fdim = cfg.feature_dim
+        for level in range(cfg.num_levels):
+            idx, weights, _ = _reference_lookup(enc, points, level)
+            g = grad[:, level * fdim : (level + 1) * fdim]
+            contrib = weights[..., None] * g[:, None, :]
+            np.add.at(
+                ref_tables[level], idx.reshape(-1),
+                -0.3 * contrib.reshape(-1, fdim),
+            )
+        enc.encode_backward(points, grad, learning_rate=0.3)
+        for got, want in zip(enc.tables, ref_tables):
+            assert np.array_equal(got, want)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cim.memxbar import MemXbarBank
 from repro.errors import ConfigurationError
@@ -78,3 +79,47 @@ class TestReadCycles:
         group = np.array([[7, 7, 7, 7]])
         stats = bank.read_cycles(group)
         assert stats.cycles == 4
+
+
+class TestBlockedReplay:
+    """The blocked, column-scan conflict replay against a direct count."""
+
+    @staticmethod
+    def _reference(bank, grouped):
+        longest = []
+        for row in grouped.tolist():
+            ids = [a // bank.rows for a in row if a >= 0]
+            longest.append(max((ids.count(i) for i in ids), default=0))
+        return np.array(longest, dtype=np.int64)
+
+    @given(
+        st.integers(1, 9),
+        st.lists(st.integers(1, 30), min_size=1, max_size=6),
+        st.integers(1, 7),
+        st.integers(0, 2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_group_and_segment_stats_match_reference(
+        self, lanes, segment_sizes, block, seed
+    ):
+        from unittest import mock
+
+        from repro.cim import memxbar
+
+        rng = np.random.default_rng(seed)
+        bank = MemXbarBank(64 * 6, rows=64)
+        total = sum(segment_sizes)
+        grouped = rng.integers(-1, 64 * 6, size=(total, lanes)).astype(np.int32)
+        grouped[rng.random(grouped.shape) < 0.3] = -1
+        bounds = np.concatenate([[0], np.cumsum(segment_sizes)])
+        with mock.patch.object(memxbar, "REPLAY_BLOCK_GROUPS", block):
+            per_group = bank.read_cycles_segments(grouped, np.arange(total + 1))
+            segments = bank.read_cycles_segments(grouped, bounds)
+        latency = bank.device.read_latency_cycles
+        assert np.array_equal(per_group[0], self._reference(bank, grouped) * latency)
+        for s, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            stats = bank.read_cycles(grouped[lo:hi])
+            assert segments[0][s] == stats.cycles
+            assert segments[1][s] == stats.accesses
+            assert segments[2][s] == stats.conflicts
+            assert segments[3][s] == stats.energy_pj
