@@ -18,11 +18,62 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
+
+
+def address_bitmap(stream: np.ndarray, size: int = 0) -> np.ndarray:
+    """Presence bitmap of a non-negative integer address stream.
+
+    ``bitmap[a]`` is True iff ``a`` occurs in ``stream``.  The bitmap is
+    at least ``size`` long and always ends in one ``False`` sentinel past
+    the stream's maximum, so :func:`address_members` can gather any
+    stream with clipped indexing: a value beyond the bitmap clips onto the
+    sentinel and reads absent.  A level's addresses lie below its storage
+    size (8,192 entries in the workbench grid, 2^19 at paper scale), so
+    the bitmap stays small.
+
+    Raises:
+        SimulationError: If the stream holds a negative value.
+    """
+    stream = np.asarray(stream).reshape(-1)
+    top = -1
+    if stream.size:
+        if stream.min() < 0:
+            raise SimulationError("address streams must be non-negative")
+        top = int(stream.max())
+    bitmap = np.zeros(max(top + 2, size), dtype=bool)
+    bitmap[stream] = True
+    return bitmap
+
+
+def address_set(stream: np.ndarray) -> np.ndarray:
+    """Sorted unique values of a non-negative integer stream.
+
+    Equal to ``numpy.unique(stream)`` in values and dtype (empty streams
+    included), computed by scattering into a presence bitmap and reading
+    it back in order instead of sorting.
+    """
+    stream = np.asarray(stream).reshape(-1)
+    return np.flatnonzero(address_bitmap(stream)).astype(stream.dtype)
+
+
+def address_members(stream: np.ndarray, bitmap: np.ndarray) -> np.ndarray:
+    """Membership mask of ``stream`` in the set ``bitmap`` encodes.
+
+    Equal to ``numpy.isin(stream, members)`` for
+    ``bitmap = address_bitmap(members)`` and any non-negative ``stream``:
+    one gather, with values past the bitmap clipped onto its trailing
+    ``False`` sentinel.
+    """
+    return np.take(bitmap, np.asarray(stream).reshape(-1), mode="clip")
+
+
+#: The empty presence bitmap (a level with nothing recorded yet).
+_NO_ADDRESSES = np.zeros(0, dtype=bool)
 
 
 def previous_occurrence_gaps(stream: np.ndarray) -> np.ndarray:
@@ -107,6 +158,11 @@ class TemporalVertexCache:
     warm-replay win), not where a serving schedule skipped a frame the
     alone run executed.
 
+    Both sets are kept as presence bitmaps over the level's addresses
+    (:func:`address_bitmap`): recording is a scatter, committing reads the
+    pending bitmap back in ascending order, and a lookup is one gather
+    from the resident set's bitmap.
+
     Args:
         capacity_per_level: Entries the buffer retains per level between
             frames (``None`` = unbounded, an idealised buffer).  When the
@@ -127,7 +183,13 @@ class TemporalVertexCache:
         # therefore the resident sets — coincide; a mere per-instance
         # counter could not guarantee that across serve() runs.
         self._resident_key: tuple = ()
-        self._pending: Dict[int, list] = {}
+        # Presence bitmaps of the resident sets, built on a level's first
+        # lookup after the set changed (see `address_bitmap`).
+        self._resident_bits: Dict[int, np.ndarray] = {}
+        # Per level: (presence bitmap, dtype) of the frame's addresses so
+        # far — the dtype the committed set takes (the promoted dtype of
+        # the recorded chunks).
+        self._pending: Dict[int, Tuple[np.ndarray, np.dtype]] = {}
         self.stats: Dict[int, CacheStats] = {}
         #: Optional telemetry hook called as ``observer(level, accesses,
         #: hits)`` after each :meth:`lookup` updates its stats.  Purely
@@ -156,13 +218,20 @@ class TemporalVertexCache:
         self.capacity_per_level = capacity_per_level
         if capacity_per_level is None:
             return
+        self._trim_resident()
+
+    def _trim_resident(self) -> None:
+        """Keep the lowest ``capacity_per_level`` addresses of every
+        resident set; a trim that drops content extends the key."""
+        capacity = self.capacity_per_level
         trimmed = False
         for level, resident in self._resident.items():
-            if resident.size > capacity_per_level:
-                self._resident[level] = resident[:capacity_per_level]
+            if resident.size > capacity:
+                self._resident[level] = resident[:capacity]
                 trimmed = True
         if trimmed:
-            self._resident_key += (("trim", capacity_per_level),)
+            self._resident_bits = {}
+            self._resident_key += (("trim", capacity),)
 
     def export_state(self) -> Dict:
         """Snapshot the committed resident state for migration hand-off.
@@ -200,17 +269,12 @@ class TemporalVertexCache:
             level: np.asarray(resident)
             for level, resident in state["resident"].items()
         }
+        self._resident_bits = {}
         self._resident_tag = state["resident_tag"]
         self._resident_key = tuple(state["resident_key"])
         self._pending = {}
         if self.capacity_per_level is not None:
-            trimmed = False
-            for level, resident in self._resident.items():
-                if resident.size > self.capacity_per_level:
-                    self._resident[level] = resident[: self.capacity_per_level]
-                    trimmed = True
-            if trimmed:
-                self._resident_key += (("trim", self.capacity_per_level),)
+            self._trim_resident()
 
     @property
     def resident_token(self) -> tuple:
@@ -243,7 +307,13 @@ class TemporalVertexCache:
         if resident is None or resident.size == 0:
             hits = np.zeros(len(stream), dtype=bool)
         else:
-            compute = lambda: np.isin(stream, resident)  # noqa: E731
+
+            def compute() -> np.ndarray:
+                bits = self._resident_bits.get(level)
+                if bits is None:
+                    bits = self._resident_bits[level] = address_bitmap(resident)
+                return address_members(stream, bits)
+
             if memo is not None:
                 hits = memo(
                     ("temporal", level, self._resident_key)
@@ -261,26 +331,23 @@ class TemporalVertexCache:
             self.observer(level, accesses, hit_count)
         return hits
 
-    def record(
-        self, stream: np.ndarray, level: int, assume_unique: bool = False
-    ) -> None:
+    def record(self, stream: np.ndarray, level: int) -> None:
         """Accumulate this frame's addresses for the next frame's lookups.
 
+        The level's pending working set is a presence bitmap: each chunk
+        scatters ``True`` at its addresses, so chunk granularity, order
+        and repeats never matter.  The stepped engine records every
+        slice's raw stream, the batched engine one deduplicated
+        whole-frame set per level, and both commit the same set.
+
         Args:
-            stream: Addresses the frame fetched at ``level``.
-            assume_unique: The caller already passed the chunk through
-                ``np.unique`` (so it is deduplicated *and* sorted
-                ascending) — the batched engine records each level's
-                whole-frame memoised unique stream this way.
-                :meth:`commit_frame` produces the identical committed set
-                either way — chunk granularity and ordering never matter —
-                but a level whose pending set is exactly one such chunk
-                commits without re-sorting.
+            stream: Non-negative addresses the frame fetched at ``level``.
         """
         chunk = np.asarray(stream).reshape(-1)
-        if not assume_unique:
-            chunk = np.unique(chunk)
-        self._pending.setdefault(level, []).append((chunk, assume_unique))
+        bits, dtype = self._pending.get(level, (_NO_ADDRESSES, chunk.dtype))
+        merged = address_bitmap(chunk, bits.size)
+        merged[: bits.size] |= bits
+        self._pending[level] = (merged, np.result_type(dtype, chunk.dtype))
 
     def commit_frame(self, tag=None) -> None:
         """Frame boundary: the pending working set becomes the lookup set.
@@ -294,16 +361,9 @@ class TemporalVertexCache:
         self._resident_tag = tag
         self._resident_key = (("commit", tag, self.capacity_per_level),)
         resident: Dict[int, np.ndarray] = {}
-        for level, entries in self._pending.items():
-            if not entries:
-                merged = np.empty(0)
-            elif len(entries) == 1 and entries[0][1]:
-                # A single already-sorted-unique chunk (the batched
-                # engine's whole-frame record) *is* the committed set —
-                # np.unique would return it unchanged.
-                merged = entries[0][0]
-            else:
-                merged = np.unique(np.concatenate([c for c, _ in entries]))
+        for level, (bits, dtype) in self._pending.items():
+            # Ascending, so the keep-the-lowest-addresses trim is a prefix.
+            merged = np.flatnonzero(bits).astype(dtype)
             if (
                 self.capacity_per_level is not None
                 and merged.size > self.capacity_per_level
@@ -311,6 +371,7 @@ class TemporalVertexCache:
                 merged = merged[: self.capacity_per_level]
             resident[level] = merged
         self._resident = resident
+        self._resident_bits = {}
         self._pending = {}
 
     def total_stats(self) -> CacheStats:

@@ -3,16 +3,17 @@
 Profiling the serving event loop (``repro serve --profile``) shows the
 wall clock living in per-slice, per-level numpy calls: every
 :meth:`~repro.exec.execution.FrameExecution.step` rebuilds corner arrays,
-re-sums color masks and issues one small ``np.unique`` / ``np.isin`` /
-bank-conflict replay per resolution level.  This module collapses that
+re-sums color masks and issues one small temporal-cache lookup and
+record and one bank-conflict replay per resolution level.  This module collapses that
 call-shaped loop into array shape: :func:`build_frame_plans` prices every
 wavefront slice of one or more frames with **one numpy pass per
 resolution level per frame** (and a crossbar conflict replay fused
 across levels and frames, in blocks of whole slices) and stores the
 results as a :class:`FramePlan` — a
 per-step list of pre-assembled report fragments the execution cursor
-merges in plain Python, plus the per-level unique address sets the
-temporal cache records before the frame-boundary commit.
+merges in plain Python, plus the per-level address sets the temporal
+cache records before the frame-boundary commit (sorted unique addresses
+read back from a presence bitmap, :func:`~repro.cim.cache.address_set`).
 
 **Bit-identity is the contract.**  A plan entry holds exactly what
 ``step()`` would have produced for that slice, computed with the same
@@ -48,10 +49,10 @@ execution cursor revalidates the token on every batched advance (and at
 re-partition that trims the resident set mid-frame forces a rebuild
 against the new content instead of replaying stale hit masks.  Recorded
 working sets are deferred: the pending set is invisible to every lookup
-until the frame-boundary commit, and
-:meth:`~repro.cim.cache.TemporalVertexCache.commit_frame` re-uniques the
-union of all pending chunks, so one deduplicated per-level record at the
-frame's end commits exactly what per-slice recording would have.
+until the frame-boundary commit, and the pending set is a presence
+bitmap that every recorded chunk scatters into, so one deduplicated
+per-level record at the frame's end commits exactly what per-slice
+recording would have.
 
 Plan building is *observably* side-effect free: it touches no
 ``SimReport``, never records into or commits the temporal cache, and
@@ -73,7 +74,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cim.cache import CacheStats, previous_occurrence_gaps
+from repro.cim.cache import CacheStats, address_set, previous_occurrence_gaps
 from repro.cim.memxbar import REPLAY_BLOCK_GROUPS
 from repro.errors import SimulationError
 from repro.nerf.hashgrid import corner_lanes
@@ -250,7 +251,7 @@ def _price_encoding(
             t_full = temporal.lookup(stream, level, memo=hook, stream_key=sk)
             t_hits = t_full & ~hits
             served = hits | t_full
-            unique_stream = hook(("uniq", level) + sk, lambda: np.unique(stream))
+            unique_stream = hook(("uniq", level) + sk, lambda: address_set(stream))
             out.records.append((ex._steps_total, level, unique_stream))
             out.temporal_hits[level] = np.add.reduceat(
                 t_hits, starts, dtype=np.int64

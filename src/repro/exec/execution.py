@@ -123,31 +123,19 @@ def _build_frame_setup(
     slice_in_flight = [
         min(sl.num_points, config.wavefront_rays) for sl in slices
     ]
-    wavefront_offsets: dict = {}
-    wavefront_order: List[int] = []
-    offset = 0
-    for sl in slices:
-        if sl.index not in wavefront_offsets:
-            wavefront_offsets[sl.index] = offset
-            wavefront_order.append(sl.index)
-            offset += trace.wavefronts[sl.index].num_points
+    # Per level, the whole frame's compact voxel bases in wavefront order;
+    # a slice's bases start at its wavefront's first point in that order.
+    wavefront_starts = np.cumsum(
+        [0] + [wf.num_points for wf in trace.wavefronts]
+    ).tolist()
     slice_base_ranges = [
         (
-            wavefront_offsets[sl.index] + sl.points.start,
-            wavefront_offsets[sl.index] + sl.points.stop,
+            wavefront_starts[sl.index] + sl.points.start,
+            wavefront_starts[sl.index] + sl.points.stop,
         )
         for sl in slices
     ]
-    # Stored as compact as the trace's own voxel-base cache (a base lies
-    # in [0, resolution)), whether or not that cache kept every wavefront.
-    corner_bases = [
-        np.concatenate(
-            [trace.voxel_base(w, resolution) for w in wavefront_order]
-            or [np.empty((0, 3), dtype=np.int64)],
-            dtype=np.int16 if resolution < 2**15 else np.int32,
-        )
-        for resolution in resolutions
-    ]
+    corner_bases = [trace.voxel_bases(resolution) for resolution in resolutions]
     return (
         slices,
         total_points,
@@ -465,8 +453,8 @@ class FrameExecution:
     def _apply_plan_records(self) -> None:
         """Feed the plan's deferred temporal working-set records into the
         cache once their wavefronts have fully executed.  Overlap with
-        records the stepped path already issued is harmless: the cache
-        commit re-uniques the union, so chunk granularity never matters."""
+        records the stepped path already issued is harmless: the pending
+        set is a presence bitmap, so chunk granularity never matters."""
         if self._plan is None or self._temporal is None:
             return
         records = self._plan.records
@@ -475,7 +463,7 @@ class FrameExecution:
             and records[self._plan_record_idx][0] <= self._cursor
         ):
             _, level, unique_stream = records[self._plan_record_idx]
-            self._temporal.record(unique_stream, level, assume_unique=True)
+            self._temporal.record(unique_stream, level)
             self._plan_record_idx += 1
 
     def _wavefront_step(self, si: int) -> int:

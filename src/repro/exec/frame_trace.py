@@ -17,11 +17,12 @@ Downstream consumers replay the trace instead of re-deriving the frame:
   :func:`repro.arch.trace.hash_address_trace`) read sample positions
   straight from the trace.
 
-Voxel-corner generation is memoised per wavefront and grid resolution (the
-integer base coordinate is stored compactly; the eight corner offsets are
-re-broadcast on demand), so repeated simulations of one render — the
-fig17/fig18/fig19 experiment trio simulates the same frame three times —
-pay for corner derivation once.
+Voxel-corner generation is one floor/clip pass per grid resolution over
+the frame's concatenated sample points (:meth:`FrameTrace.voxel_bases`,
+stored compactly; the eight corner offsets are re-broadcast on demand).
+The pricing engines keep the result in their per-trace frame setup, so
+repeated simulations of one render — the fig17/fig18/fig19 experiment
+trio simulates the same frame three times — pay for it once.
 """
 
 from __future__ import annotations
@@ -41,13 +42,18 @@ from repro.nerf.rays import sample_along_rays
 PHASE_PROBE = "probe"
 PHASE_MAIN = "main"
 
-#: Per-trace ceiling on memoised voxel-base values (3 ints per point per
-#: resolution).  Keeps a long-lived workbench full of memoised traces from
-#: hoarding memory; beyond the cap corners are derived on the fly.
-CORNER_CACHE_MAX_VALUES = 2**22
-
 #: Per-trace ceiling on stream-derived memo values (:meth:`FrameTrace.memo`).
 MEMO_CACHE_MAX_VALUES = 2**24
+
+
+def _voxel_floor(points: np.ndarray, resolution: int) -> np.ndarray:
+    """``(P, 3)`` int64 voxel-base coordinates of ``points`` at
+    ``resolution``: the floor of the scaled position, clipped into the
+    grid (``[0, resolution)``) — the corner arithmetic of
+    :meth:`repro.nerf.hashgrid.HashGridEncoder.voxel_vertices`."""
+    base = np.floor(points * resolution).astype(np.int64)
+    np.clip(base, 0, resolution - 1, out=base)
+    return base
 
 
 @dataclass
@@ -231,10 +237,6 @@ class FrameTrace:
     difficulty_evals: int = 0
     wavefronts: List[TraceWavefront] = field(default_factory=list)
     reprojected_pixels: int = 0
-    _corner_cache: Dict[Tuple[int, int], np.ndarray] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _corner_cache_values: int = field(default=0, init=False, repr=False, compare=False)
     _memo_cache: Dict[Tuple, np.ndarray] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -249,6 +251,9 @@ class FrameTrace:
         default=None, init=False, repr=False, compare=False
     )
     _content_digest: Optional[bytes] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _rendered_pixels: Optional[int] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -466,9 +471,12 @@ class FrameTrace:
     def rendered_pixels(self) -> int:
         """Pixels the frame delivers over the scan-out bus: rays that
         marched at least one sample plus pixels filled by temporal
-        reprojection (warped pixels are scanned out like any other)."""
-        marched = int(sum((wf.used > 0).sum() for wf in self.wavefronts))
-        return marched + int(self.reprojected_pixels)
+        reprojection (warped pixels are scanned out like any other).
+        Computed once and cached (traces are immutable once recorded)."""
+        if self._rendered_pixels is None:
+            marched = int(sum((wf.used > 0).sum() for wf in self.wavefronts))
+            self._rendered_pixels = marched + int(self.reprojected_pixels)
+        return self._rendered_pixels
 
     @property
     def is_uniform(self) -> bool:
@@ -496,31 +504,21 @@ class FrameTrace:
                     points=slice(int(offsets[start]), int(offsets[stop])),
                 )
 
-    def voxel_base(self, index: int, resolution: int) -> np.ndarray:
-        """``(P, 3)`` integer voxel-base coordinates of wavefront ``index``
-        at ``resolution`` (memoised; the expensive float->int conversion of
-        corner generation happens once per wavefront and resolution)."""
-        key = (index, int(resolution))
-        cached = self._corner_cache.get(key)
-        if cached is not None:
-            return cached
-        points = self.wavefronts[index].points
-        scaled = points * resolution
-        base = np.floor(scaled).astype(np.int64)
-        np.clip(base, 0, resolution - 1, out=base)
-        if self._corner_cache_values + base.size <= CORNER_CACHE_MAX_VALUES:
-            dtype = np.int16 if resolution < 2**15 else np.int32
-            self._corner_cache[key] = base.astype(dtype)
-            self._corner_cache_values += base.size
-            return self._corner_cache[key]
-        return base
+    def voxel_bases(self, resolution: int) -> np.ndarray:
+        """``(P, 3)`` integer voxel-base coordinates of every active point
+        at ``resolution``, wavefront by wavefront in execution order (the
+        order of :meth:`active_points`): one floor/clip pass over the
+        frame's concatenated points.  Stored compactly — a base lies in
+        ``[0, resolution)`` — as int16 below ``2**15``, else int32."""
+        dtype = np.int16 if resolution < 2**15 else np.int32
+        return _voxel_floor(self.active_points(), resolution).astype(dtype)
 
     def corners(self, index: int, points: slice, resolution: int) -> np.ndarray:
         """``(P, 8, 3)`` voxel-vertex coordinates for a point range of one
         wavefront — identical to
         :meth:`repro.nerf.hashgrid.HashGridEncoder.voxel_vertices` corners,
         without recomputing trilinear weights the consumers discard."""
-        base = self.voxel_base(index, resolution)[points].astype(np.int64)
+        base = _voxel_floor(self.wavefronts[index].points[points], resolution)
         return base[:, None, :] + CORNER_OFFSETS[None, :, :]
 
     def content_digest(self) -> bytes:

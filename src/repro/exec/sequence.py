@@ -43,6 +43,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.cim.cache import address_bitmap, address_members, address_set
 from repro.errors import SimulationError
 from repro.exec.frame_trace import FrameTrace
 from repro.scenes.cameras import Camera
@@ -269,21 +270,13 @@ class SequenceTrace:
         traffic at ``resolution`` (memoised)."""
 
         def compute_stream() -> np.ndarray:
-            trace = self.frames[frame]
-            chunks = []
+            base = self.frames[frame].voxel_bases(resolution).astype(np.int64)
             stride = resolution + 1
-            for index in range(len(trace.wavefronts)):
-                base = trace.voxel_base(index, resolution).astype(np.int64)
-                chunks.append(
-                    (base[:, 2] * stride + base[:, 1]) * stride + base[:, 0]
-                )
-            if not chunks:
-                return np.empty(0, dtype=np.int64)
-            return np.concatenate(chunks)
+            return (base[:, 2] * stride + base[:, 1]) * stride + base[:, 0]
 
         stream = self.memo(("voxel_stream", frame, resolution), compute_stream)
         unique = self.memo(
-            ("voxel_unique", frame, resolution), lambda: np.unique(stream)
+            ("voxel_unique", frame, resolution), lambda: address_set(stream)
         )
         return stream, unique
 
@@ -313,12 +306,11 @@ class SequenceTrace:
                     corner_overlap[res] = 0.0
                     stream_overlap[res] = 0.0
                     continue
-                shared = np.intersect1d(
-                    unique, prev_unique, assume_unique=True
-                ).size
+                prev_bits = address_bitmap(prev_unique)
+                shared = int(address_members(unique, prev_bits).sum())
                 corner_overlap[res] = shared / unique.size
                 stream_overlap[res] = float(
-                    np.mean(np.isin(stream, prev_unique))
+                    np.mean(address_members(stream, prev_bits))
                 )
             deltas.append(
                 TemporalDelta(

@@ -163,8 +163,9 @@ def profile_serve(
     stat_items = stats.stats  # type: ignore[attr-defined]
     # Library code — numpy C built-ins, numpy/stdlib Python wrappers —
     # carries no phase of its own: its time belongs to whichever repro
-    # module asked for it (`np.unique` issued by the batched planner is
-    # encoding work, the same call from report assembly is bookkeeping).
+    # module asked for it (`np.flatnonzero` issued by the batched
+    # planner's address sets is encoding work, the same call from report
+    # assembly is bookkeeping).
     # Resolve phases transitively through the caller graph, splitting a
     # shared helper's time across callers pro rata by cumulative
     # contribution.
