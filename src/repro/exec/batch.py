@@ -3,10 +3,10 @@
 Profiling the serving event loop (``repro serve --profile``) shows the
 wall clock living in per-slice, per-level numpy calls: every
 :meth:`~repro.exec.execution.FrameExecution.step` rebuilds corner arrays,
-re-sums color masks and issues one small temporal-cache lookup and
-record and one bank-conflict replay per resolution level.  This module collapses that
-call-shaped loop into array shape: :func:`build_frame_plans` prices every
-wavefront slice of one or more frames with **one numpy pass per
+re-sums color masks and issues one small temporal-cache lookup, record
+and bank-conflict replay per resolution level.  This module collapses
+that call-shaped loop into array shape: :func:`build_frame_plans` prices
+every wavefront slice of one or more frames with **one numpy pass per
 resolution level per frame** (and a crossbar conflict replay fused
 across levels and frames, in blocks of whole slices) and stores the
 results as a :class:`FramePlan` — a
@@ -251,7 +251,9 @@ def _price_encoding(
             t_full = temporal.lookup(stream, level, memo=hook, stream_key=sk)
             t_hits = t_full & ~hits
             served = hits | t_full
-            unique_stream = hook(("uniq", level) + sk, lambda: address_set(stream))
+            unique_stream = hook(
+                ("uniq", level) + sk, lambda: address_set(stream)
+            )
             out.records.append((ex._steps_total, level, unique_stream))
             out.temporal_hits[level] = np.add.reduceat(
                 t_hits, starts, dtype=np.int64

@@ -24,7 +24,6 @@ Regenerate (only when a change is *meant* to alter these numbers)::
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from pathlib import Path
 from typing import Dict
@@ -38,6 +37,7 @@ from repro.scenes.cameras import camera_path
 from repro.serving.policies import make_policy
 from repro.serving.request import ClientRequest
 from repro.serving.server import SequenceServer
+from test_frame_pricing_golden import _fields
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "serve_pricing.json"
 
@@ -72,22 +72,6 @@ def budget_sequence(path) -> SequenceTrace:
         replays=replays,
         planned=[k == 0 for k in range(len(frames))],
     )
-
-
-def _fields(obj) -> Dict[str, object]:
-    """Every dataclass field, floats as ``repr`` (exact round trip)."""
-    out: Dict[str, object] = {}
-    for f in dataclasses.fields(obj):
-        value = getattr(obj, f.name)
-        if dataclasses.is_dataclass(value):
-            out[f.name] = _fields(value)
-        elif isinstance(value, dict):
-            out[f.name] = {k: repr(v) for k, v in sorted(value.items())}
-        elif isinstance(value, float):
-            out[f.name] = repr(value)
-        else:
-            out[f.name] = value
-    return out
 
 
 def sequence_reports() -> Dict[str, object]:

@@ -114,9 +114,8 @@ def record_histories(draw):
         dtype = draw(st.sampled_from(DTYPES))
         for _ in range(draw(st.integers(1, 4))):
             chunk_dtype = draw(st.sampled_from((dtype, np.int32, np.int64)))
-            chunks.append(
-                (level, draw(address_streams(dtype=chunk_dtype, bound=8192, max_size=60)))
-            )
+            stream = address_streams(dtype=chunk_dtype, bound=8192, max_size=60)
+            chunks.append((level, draw(stream)))
     chunks = draw(st.permutations(chunks))
     capacity = draw(st.one_of(st.none(), st.integers(1, 40)))
     return chunks, capacity
@@ -195,13 +194,6 @@ class TestTemporalCacheBitmaps:
         kept = members if capacity is None else members[:capacity]
         np.testing.assert_array_equal(cache.export_state()["resident"][0], kept)
         np.testing.assert_array_equal(cache.lookup(probe, 0), np.isin(probe, kept))
-
-    def test_pending_set_is_invisible_until_commit(self):
-        cache = TemporalVertexCache()
-        cache.record(np.array([1, 2, 3]), 0)
-        assert not cache.lookup(np.array([1, 2, 3]), 0).any()
-        cache.commit_frame()
-        assert cache.lookup(np.array([1, 2, 3]), 0).all()
 
 
 # ----------------------------------------------------------------------
@@ -282,24 +274,6 @@ class TestVoxelBases:
                     + CORNER_OFFSETS[None, :, :],
                 )
                 start = stop
-
-    def test_point_at_one_lands_in_last_voxel(self):
-        trace = FrameTrace(
-            num_pixels=1,
-            full_budget=1,
-            wavefronts=[
-                TraceWavefront(
-                    phase=PHASE_MAIN,
-                    budget=1,
-                    ray_ids=np.array([0]),
-                    hit=np.array([True]),
-                    used=np.array([1]),
-                    color_used=np.array([1]),
-                    points=np.array([[1.0, 0.0, 1.0 + 1e-3]]),
-                )
-            ],
-        )
-        assert trace.voxel_bases(16).tolist() == [[15, 0, 15]]
 
 
 def _reference_deltas(sequence, resolution):
